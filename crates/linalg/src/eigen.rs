@@ -23,7 +23,16 @@ const MAX_SWEEPS: usize = 64;
 /// Computes the eigendecomposition of a symmetric matrix.
 ///
 /// `a` must be square and symmetric within `1e-8` relative tolerance;
-/// violations return [`LinalgError::DimensionMismatch`].
+/// violations return [`LinalgError::DimensionMismatch`]. Within that
+/// tolerance only the upper triangle is read: it is mirrored into the lower
+/// one on entry, so a matrix whose lower triangle differs by rounding noise
+/// decomposes to the same bits as its exactly symmetric upper-triangle
+/// mirror.
+///
+/// The cyclic sweep keeps the working matrix exactly symmetric, so each
+/// rotation reads rows `p` and `q` (the same bits as columns `p` and `q`)
+/// and the eigenvectors accumulate as the rows of `Vᵀ`. Every access in
+/// the inner loops is then contiguous; `Vᵀ` is transposed once at the end.
 pub fn symmetric_eigen(a: &Matrix) -> Result<EigenDecomposition> {
     if !a.is_square() {
         return Err(LinalgError::DimensionMismatch {
@@ -43,13 +52,13 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<EigenDecomposition> {
         });
     }
 
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
+    let mut m = Matrix::from_fn(n, n, |i, j| a.get(i.min(j), i.max(j)));
+    let mut vt = Matrix::identity(n);
 
     for _sweep in 0..MAX_SWEEPS {
         let off = off_diagonal_norm(&m);
         if off <= 1e-14 * scale * n as f64 {
-            return Ok(finish(m, v));
+            return Ok(finish(m, vt));
         }
         for p in 0..n {
             for q in (p + 1)..n {
@@ -70,7 +79,7 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<EigenDecomposition> {
                 let s = t * c;
 
                 apply_rotation(&mut m, p, q, c, s);
-                rotate_columns(&mut v, p, q, c, s);
+                rotate_rows(&mut vt, p, q, c, s);
             }
         }
     }
@@ -90,8 +99,26 @@ fn off_diagonal_norm(m: &Matrix) -> f64 {
     sum.sqrt()
 }
 
-/// Applies the two-sided rotation `Jᵀ M J` updating only the affected rows
-/// and columns of the symmetric matrix `m`.
+/// Rows `p < q` of a square row-major buffer as two mutable slices.
+fn row_pair(data: &mut [f64], n: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    debug_assert!(p < q);
+    let (head, tail) = data.split_at_mut(q * n);
+    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
+}
+
+/// `(x, y) ← (c·x − s·y, s·x + c·y)` elementwise.
+#[inline]
+fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let (a, b) = (*xk, *yk);
+        *xk = c * a - s * b;
+        *yk = s * a + c * b;
+    }
+}
+
+/// Applies the two-sided rotation `Jᵀ M J` to the exactly symmetric `m`:
+/// rows `p` and `q` rotate in place, then are mirrored into columns `p`
+/// and `q`.
 fn apply_rotation(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     let n = m.rows();
     let app = m.get(p, p);
@@ -100,44 +127,37 @@ fn apply_rotation(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
 
     let new_pp = c * c * app - 2.0 * s * c * apq + s * s * aqq;
     let new_qq = s * s * app + 2.0 * s * c * apq + c * c * aqq;
+
+    let data = m.as_mut_slice();
+    let (row_p, row_q) = row_pair(data, n, p, q);
+    // Entries k = p and k = q are rotated too and overwritten below; every
+    // other entry depends only on its own (p, k) and (q, k).
+    rotate_pair(row_p, row_q, c, s);
+    for k in 0..n {
+        data[k * n + p] = data[p * n + k];
+        data[k * n + q] = data[q * n + k];
+    }
     m.set(p, p, new_pp);
     m.set(q, q, new_qq);
     m.set(p, q, 0.0);
     m.set(q, p, 0.0);
-
-    for k in 0..n {
-        if k == p || k == q {
-            continue;
-        }
-        let akp = m.get(k, p);
-        let akq = m.get(k, q);
-        let new_kp = c * akp - s * akq;
-        let new_kq = s * akp + c * akq;
-        m.set(k, p, new_kp);
-        m.set(p, k, new_kp);
-        m.set(k, q, new_kq);
-        m.set(q, k, new_kq);
-    }
 }
 
-/// Applies the rotation to the accumulated eigenvector matrix (columns p, q).
-fn rotate_columns(v: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    for k in 0..v.rows() {
-        let vkp = v.get(k, p);
-        let vkq = v.get(k, q);
-        v.set(k, p, c * vkp - s * vkq);
-        v.set(k, q, s * vkp + c * vkq);
-    }
+/// Applies the rotation to the accumulated `Vᵀ` (rows p, q).
+fn rotate_rows(vt: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
+    let n = vt.cols();
+    let (row_p, row_q) = row_pair(vt.as_mut_slice(), n, p, q);
+    rotate_pair(row_p, row_q, c, s);
 }
 
-fn finish(m: Matrix, v: Matrix) -> EigenDecomposition {
+fn finish(m: Matrix, vt: Matrix) -> EigenDecomposition {
     let n = m.rows();
     let mut order: Vec<usize> = (0..n).collect();
     let values_raw: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
     order.sort_by(|&a, &b| values_raw[b].partial_cmp(&values_raw[a]).unwrap());
 
     let values: Vec<f64> = order.iter().map(|&i| values_raw[i]).collect();
-    let vectors = Matrix::from_fn(n, n, |i, j| v.get(i, order[j]));
+    let vectors = Matrix::from_fn(n, n, |i, j| vt.get(order[j], i));
     EigenDecomposition { values, vectors }
 }
 
@@ -199,6 +219,40 @@ mod tests {
         let a = Matrix::from_vec(3, 3, vec![1.0, 0.5, 0.0, 0.5, 2.0, 0.3, 0.0, 0.3, 0.7]).unwrap();
         let e = symmetric_eigen(&a).unwrap();
         assert!(e.values.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    #[test]
+    fn perturbed_lower_triangle_decomposes_like_its_upper_mirror() {
+        let n = 12;
+        // Row 0 is decoupled above the diagonal, so no (0, q) rotation runs
+        // and only the entry mirror keeps the noise in column 0 unread.
+        let upper = Matrix::from_fn(n, n, |i, j| {
+            let (i, j) = (i.min(j), i.max(j));
+            if i == j {
+                20.0 + i as f64
+            } else if i == 0 {
+                0.0
+            } else {
+                ((i * 7 + j * 3) % 11) as f64 - 5.0
+            }
+        });
+        // Rounding-sized noise below the diagonal, inside the tolerance.
+        let perturbed = Matrix::from_fn(n, n, |i, j| {
+            let v = upper.get(i, j);
+            if i > j {
+                v + 1e-12 * ((i + j) % 3 + 1) as f64
+            } else {
+                v
+            }
+        });
+        assert_ne!(perturbed, upper);
+        let (a, b) = (
+            symmetric_eigen(&perturbed).unwrap(),
+            symmetric_eigen(&upper).unwrap(),
+        );
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.values), bits(&b.values));
+        assert_eq!(bits(a.vectors.as_slice()), bits(b.vectors.as_slice()));
     }
 
     #[test]

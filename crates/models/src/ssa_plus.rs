@@ -94,6 +94,9 @@ impl SsaPlus {
         let l1 = Linear::new(&mut graph, FEATURES, config.hidden, &mut rng);
         let l2 = Linear::new(&mut graph, config.hidden, 1, &mut rng);
         graph.freeze();
+        // A 2,880 × 4 × 5 product is far too small to pay for the kernel
+        // threads a gemm call would otherwise spawn on every epoch.
+        graph.set_threads(Some(1));
         let param_count = graph.params().iter().map(|&p| graph.value(p).numel()).sum();
         Self {
             ssa: SsaForecaster::new(SsaConfig {
@@ -143,6 +146,23 @@ impl SsaPlus {
             phase.cos() as f32,
             (step_ahead as f64 / STEP_SCALE).min(2.0) as f32,
         ]
+    }
+
+    /// Full-batch Adam on the error head; returns the final loss.
+    fn train_head(&mut self, x: &Tensor, preds: &Tensor, targets: &Tensor) -> f64 {
+        let mut adam = Adam::new(self.config.lr);
+        let mut final_loss = f64::NAN;
+        for _ in 0..self.config.epochs {
+            let correction = self.head_forward(x.clone());
+            let base = self.graph.constant(preds.clone());
+            let target = self.graph.constant(targets.clone());
+            let corrected = self.graph.add(base, correction);
+            let loss = asymmetric(&mut self.graph, corrected, target, self.config.alpha_prime);
+            final_loss = f64::from(self.graph.value(loss).item().expect("scalar"));
+            self.graph.backward(loss);
+            adam.step(&mut self.graph);
+        }
+        final_loss
     }
 
     fn head_forward(&mut self, x: Tensor) -> NodeId {
@@ -204,7 +224,7 @@ impl Forecaster for SsaPlus {
         }
         debug_assert_eq!(ssa_calib.len(), calib_len);
 
-        // 2. Train the error head: corrected = ssa_pred + scale · head(x).
+        // 2. The error head's training set: corrected = ssa_pred + scale · head(x).
         let mut xs = Vec::with_capacity(calib_len * FEATURES);
         let mut preds = Vec::with_capacity(calib_len);
         let mut targets = Vec::with_capacity(calib_len);
@@ -220,23 +240,22 @@ impl Forecaster for SsaPlus {
         let target_tensor = Tensor::new(&[calib_len, 1], targets)
             .map_err(|e| ModelError::Internal(e.to_string()))?;
 
-        let mut adam = Adam::new(self.config.lr);
-        let mut final_loss = f64::NAN;
-        for _ in 0..self.config.epochs {
-            let correction = self.head_forward(x_tensor.clone());
-            let base = self.graph.constant(pred_tensor.clone());
-            let target = self.graph.constant(target_tensor.clone());
-            let corrected = self.graph.add(base, correction);
-            let loss = asymmetric(&mut self.graph, corrected, target, self.config.alpha_prime);
-            final_loss = f64::from(self.graph.value(loss).item().expect("scalar"));
-            self.graph.backward(loss);
-            adam.step(&mut self.graph);
-        }
-
-        // 3. Refit SSA on the full history so forecasts start at its end.
-        self.ssa
-            .fit(train)
-            .map_err(|e| ModelError::Internal(e.to_string()))?;
+        // 3. Train the head and, beside it, refit SSA on the full history so
+        //    forecasts start at its end. The refit does not depend on the
+        //    head; it stays on this thread so its spans keep their parent
+        //    and any capture window.
+        let refit_config = SsaConfig {
+            window: self.config.window,
+            rank: self.config.rank,
+        };
+        let (refit, final_loss) = ip_par::join(
+            || {
+                let mut ssa = SsaForecaster::new(refit_config);
+                ssa.fit(train).map(|()| ssa)
+            },
+            || self.train_head(&x_tensor, &pred_tensor, &target_tensor),
+        );
+        self.ssa = refit.map_err(|e| ModelError::Internal(e.to_string()))?;
         self.train_len = train.len();
         self.fitted = true;
         Ok(FitReport {

@@ -225,6 +225,43 @@ where
     });
 }
 
+/// Runs two independent closures, returning both results as `(a(), b())`.
+///
+/// `a` always runs on the caller's thread, so thread-local state it touches
+/// (open `ip-obs` spans, capture windows) behaves as if `join` were not
+/// there. With [`num_threads`] ≥ 2, `b` runs beside it on a scoped thread;
+/// otherwise `a` runs and then `b`, inline. A panic in either closure
+/// propagates to the caller with its original payload.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    join_with(num_threads(), a, b)
+}
+
+/// [`join`] with an explicit thread count.
+pub fn join_with<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(b);
+        let ra = a();
+        match handle.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// Splits `data` into contiguous chunks of `chunk_len` elements (last one
 /// possibly shorter) and runs `f(chunk_index, chunk)` on each, in parallel.
 /// The chunk partitioning — and therefore which elements each invocation
@@ -340,6 +377,65 @@ mod tests {
                 }
                 assert_eq!(next, len);
             }
+        }
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        for threads in [1, 2] {
+            assert_eq!(join_with(threads, || 6 * 7, || "b"), (42, "b"));
+        }
+    }
+
+    #[test]
+    fn join_runs_a_then_b_inline_at_one_thread() {
+        let order = std::sync::Mutex::new(Vec::new());
+        let caller = std::thread::current().id();
+        let (a_thread, b_thread) = join_with(
+            1,
+            || {
+                order.lock().unwrap().push('a');
+                std::thread::current().id()
+            },
+            || {
+                order.lock().unwrap().push('b');
+                std::thread::current().id()
+            },
+        );
+        assert_eq!(*order.lock().unwrap(), ['a', 'b']);
+        assert_eq!((a_thread, b_thread), (caller, caller));
+    }
+
+    #[test]
+    fn join_runs_b_beside_a_at_two_threads() {
+        let caller = std::thread::current().id();
+        // Each closure waits for the other to start, so this only finishes
+        // when they really run at the same time.
+        let barrier = std::sync::Barrier::new(2);
+        let (a_thread, b_thread) = join_with(
+            2,
+            || {
+                barrier.wait();
+                std::thread::current().id()
+            },
+            || {
+                barrier.wait();
+                std::thread::current().id()
+            },
+        );
+        assert_eq!(a_thread, caller);
+        assert_ne!(b_thread, caller);
+    }
+
+    #[test]
+    fn join_propagates_panics_with_their_payload() {
+        for threads in [1, 2] {
+            let from_b = std::panic::catch_unwind(|| join_with(threads, || 1, || panic!("in b")));
+            let payload = from_b.expect_err("b's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"in b"));
+            let from_a = std::panic::catch_unwind(|| join_with(threads, || panic!("in a"), || 2));
+            let payload = from_a.expect_err("a's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"in a"));
         }
     }
 

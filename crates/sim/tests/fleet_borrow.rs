@@ -3,8 +3,10 @@
 //! The borrowing driver must produce byte-identical output — reports,
 //! Prometheus bytes, event streams — whichever [`FleetStrategy`] executes
 //! it, and an **empty** matrix must leave the fleet on exactly the
-//! pre-borrowing code paths. Obs-recording tests mutate the process-wide
-//! registry, so they serialize behind one mutex.
+//! pre-borrowing code paths. Obs-recording tests switch recording on for
+//! the whole process, and while it is on any fleet a concurrent test builds
+//! or runs writes series into the shared registry, so every test here
+//! serializes behind one mutex.
 
 use ip_sim::{CompatibilityMatrix, FleetPool, FleetReport, FleetSim, FleetStrategy, SimConfig};
 use ip_timeseries::TimeSeries;
@@ -41,6 +43,7 @@ fn spike_and_idle(matrix: CompatibilityMatrix) -> FleetSim {
 
 #[test]
 fn borrowing_turns_misses_into_warm_hits() {
+    let _g = GATE.lock().unwrap();
     let isolated = {
         let mut fleet = spike_and_idle(CompatibilityMatrix::new());
         fleet.run_to_end();
@@ -74,6 +77,7 @@ fn borrowing_turns_misses_into_warm_hits() {
 
 #[test]
 fn contending_requesters_resolve_in_registration_order() {
+    let _g = GATE.lock().unwrap();
     // Pools "a" (index 0) and "c" (index 2) both miss at t=0; donor "b"
     // has exactly one warm cluster. The lower registration index wins it;
     // the other falls back on-demand.
@@ -104,6 +108,7 @@ fn contending_requesters_resolve_in_registration_order() {
 
 #[test]
 fn donation_floor_refuses_the_borrow() {
+    let _g = GATE.lock().unwrap();
     let mut fleet = spike_and_idle(
         CompatibilityMatrix::new()
             .edge("lazy", "busy", 10)
@@ -119,6 +124,7 @@ fn donation_floor_refuses_the_borrow() {
 
 #[test]
 fn in_flight_slot_frees_on_the_exact_interval_boundary() {
+    let _g = GATE.lock().unwrap();
     // With `max_concurrent_borrows = 1`, a borrow at t occupies its slot
     // until t + latency. Latency 30 = the interval width: the slot frees
     // exactly at the next boundary (strict `>` comparison), so each of 3
@@ -149,6 +155,7 @@ fn in_flight_slot_frees_on_the_exact_interval_boundary() {
 
 #[test]
 fn matrix_validation_rejects_bad_edges() {
+    let _g = GATE.lock().unwrap();
     let pools = || {
         vec![
             FleetPool::new("east", cfg(1, 1), demand(vec![1.0; 4])),
@@ -263,6 +270,8 @@ proptest! {
         knobs in 1u64..500,
         seed in 0u64..50,
     ) {
+        // `set_matrix` pre-registers borrow series while recording is on.
+        let _g = GATE.lock().unwrap();
         let matrix = matrix_from(pools, edge_mask, knobs);
         let run = |strategy: FleetStrategy, stride: u64| {
             let mut fleet = build_fleet(pools, seed, &matrix).with_strategy(strategy);

@@ -50,17 +50,17 @@ pub fn lag_covariance(values: &[f64], window: usize) -> Result<Matrix> {
 }
 
 /// The decomposition of a series: eigenpairs of the lag-covariance matrix
-/// plus the per-component factor rows `wᵢ = uᵢᵀ X` needed for reconstruction.
+/// plus the series itself, from which [`SsaDecomposition::reconstruct`]
+/// builds the factor rows `wᵢ = uᵢᵀ X` of just the components it needs.
 #[derive(Debug, Clone)]
 pub struct SsaDecomposition {
     window: usize,
-    series_len: usize,
+    /// The decomposed series (`N` values).
+    values: Vec<f64>,
     /// Eigenvalues of `XXᵀ` (σᵢ², descending, clipped at zero).
     eigenvalues: Vec<f64>,
     /// Left singular vectors as columns (L × L).
     u: Matrix,
-    /// `wᵢ[j] = Σ_l uᵢ[l]·x[l+j]`, one row per component (L rows of length K).
-    factor_rows: Vec<Vec<f64>>,
 }
 
 impl SsaDecomposition {
@@ -71,31 +71,12 @@ impl SsaDecomposition {
             let _span = ip_obs::span("ssa.eigen");
             symmetric_eigen(&s).map_err(|e| SsaError::Linalg(e.to_string()))?
         };
-        let n = values.len();
-        let k = n - window + 1;
-        // Factor rows for every component (cheap: L·K per component, and we
-        // compute lazily only up to what callers ask for — here eagerly for
-        // simplicity since L is modest).
-        let mut factor_rows = Vec::with_capacity(window);
-        for comp in 0..window {
-            let mut w = vec![0.0; k];
-            for (l, wv) in (0..window).map(|l| (l, eig.vectors.get(l, comp))) {
-                if wv == 0.0 {
-                    continue;
-                }
-                for (j, out) in w.iter_mut().enumerate() {
-                    *out += wv * values[l + j];
-                }
-            }
-            factor_rows.push(w);
-        }
         let eigenvalues = eig.values.iter().map(|&v| v.max(0.0)).collect();
         Ok(Self {
             window,
-            series_len: n,
+            values: values.to_vec(),
             eigenvalues,
             u: eig.vectors,
-            factor_rows,
         })
     }
 
@@ -137,31 +118,54 @@ impl SsaDecomposition {
         self.window
     }
 
+    /// Factor row `wᵢ[j] = Σ_l uᵢ[l]·x[l+j]` of component `comp` (length K).
+    fn factor_row(&self, comp: usize) -> Vec<f64> {
+        let k = self.values.len() - self.window + 1;
+        let mut w = vec![0.0; k];
+        for l in 0..self.window {
+            let ul = self.u.get(l, comp);
+            if ul == 0.0 {
+                continue;
+            }
+            for (out, &x) in w.iter_mut().zip(&self.values[l..l + k]) {
+                *out += ul * x;
+            }
+        }
+        w
+    }
+
     /// Reconstructs the series from the leading `rank` components via
     /// diagonal averaging (Hankelization).
     ///
     /// Entry `(l, j)` of the rank-`r` matrix is `Σᵢ uᵢ[l]·wᵢ[j]`; the value at
-    /// time `t` is the average over all `(l, j)` with `l + j = t`.
+    /// time `t` is the average over all `(l, j)` with `l + j = t`. Only the
+    /// `rank` factor rows this sums are built, at O(rank·L·K).
     pub fn reconstruct(&self, rank: usize) -> Vec<f64> {
         let _span = ip_obs::span("ssa.reconstruct");
         let rank = rank.min(self.window).max(1);
-        let n = self.series_len;
+        let n = self.values.len();
         let k = n - self.window + 1;
+        let factor_rows: Vec<Vec<f64>> = (0..rank).map(|c| self.factor_row(c)).collect();
         let mut sums = vec![0.0; n];
-        let mut counts = vec![0u32; n];
+        let mut row = vec![0.0; k];
         for l in 0..self.window {
-            for j in 0..k {
-                let mut v = 0.0;
-                for comp in 0..rank {
-                    v += self.u.get(l, comp) * self.factor_rows[comp][j];
+            // Row l of the rank-r matrix, summed over components in order.
+            row.fill(0.0);
+            for (comp, w) in factor_rows.iter().enumerate() {
+                let ul = self.u.get(l, comp);
+                for (v, &wj) in row.iter_mut().zip(w) {
+                    *v += ul * wj;
                 }
-                sums[l + j] += v;
-                counts[l + j] += 1;
+            }
+            for (sum, &v) in sums[l..l + k].iter_mut().zip(&row) {
+                *sum += v;
             }
         }
+        // Time t is covered by min(t, L−1, K−1, N−1−t) + 1 anti-diagonal cells.
+        let last = self.window.min(k) - 1;
         sums.iter()
-            .zip(&counts)
-            .map(|(s, &c)| s / c as f64)
+            .enumerate()
+            .map(|(t, s)| s / (t.min(last).min(n - 1 - t) + 1) as f64)
             .collect()
     }
 }
